@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet ocsmlvet-bin fmt lint staticcheck vuln generate chaos ctl soak fuzz bench-wire bench-durability model-check
+.PHONY: all build test race vet bench-vet ocsmlvet-bin fmt lint staticcheck vuln generate chaos ctl soak fuzz bench-wire bench-durability model-check
 
 all: build test
 
@@ -28,6 +28,13 @@ vet: ocsmlvet-bin
 	$(GO) vet ./...
 	bin/ocsmlvet ./...
 	bin/ocsmlvet -tags soak ./...
+
+# bench-vet compiles and vets the end-to-end benchmark. clusterbench/
+# is its own Go module (it replaces ocsml with the repo root), so the
+# root `go build ./...` and `go vet ./...` never compile it: without this
+# target a transport API change could break the benchmark unnoticed.
+bench-vet:
+	cd clusterbench && $(GO) vet ./...
 
 # ocsmlvet-bin compiles the vet tool once to bin/ocsmlvet. CI restores
 # the binary from a cache keyed on the exact analyzer sources and sets

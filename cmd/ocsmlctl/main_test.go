@@ -47,7 +47,9 @@ func startCluster(t *testing.T) string {
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
 		srv.Close()
 		c.Stop()

@@ -1,12 +1,15 @@
 package main
 
 // Multi-OS-process recovery integration test: three real ocsmld daemons
-// on localhost TCP, one SIGKILLed mid-run and restarted with -recover.
-// The restarted daemon must drive the wire-level recovery handshake to
-// completion and the cluster must then finalize new global checkpoints
-// past the agreed line.
+// on localhost TCP with storage GC on, one SIGKILLed mid-run and
+// restarted with -recover. The restarted daemon must drive the
+// wire-level recovery handshake to completion, the cluster must then
+// finalize new global checkpoints past the agreed line, and every
+// daemon's GC must have swept its store across the whole episode.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -58,14 +61,18 @@ func TestDaemonClusterRecover(t *testing.T) {
 	addrs := freeAddrs(t, n)
 	peers := addrs[0] + "," + addrs[1] + "," + addrs[2]
 
+	stdout := make([]*bytes.Buffer, n) // each daemon's JSON exit report
 	spawn := func(id int, extra ...string) *exec.Cmd {
 		args := append([]string{
 			"-id", fmt.Sprint(id), "-peers", peers, "-datadir", datadir,
 			"-seed", "17", "-steps", "1000000", // effectively endless
 			"-interval", "150ms", "-timeout", "60ms",
+			"-gc-interval", "50ms", "-json",
 			"-run-for", "120s",
 		}, extra...)
 		cmd := exec.Command(bin, args...)
+		stdout[id] = new(bytes.Buffer)
+		cmd.Stdout = stdout[id]
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatalf("starting P%d: %v", id, err)
@@ -133,6 +140,21 @@ func TestDaemonClusterRecover(t *testing.T) {
 			t.Fatalf("P%d exit: %v", i, err)
 		}
 		procs[i] = nil
+	}
+
+	// Every daemon — the restarted victim included — collected garbage
+	// below the globally durable line, and no resume replay diverged.
+	for i, out := range stdout {
+		var rep struct{ Counters map[string]int64 }
+		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+			t.Fatalf("P%d report: %v\n%s", i, err, out)
+		}
+		if rep.Counters["fsstore.gc_sweeps"] == 0 {
+			t.Fatalf("P%d: no GC sweeps; counters %v", i, rep.Counters)
+		}
+		if got := rep.Counters["recovery.replay_mismatch"]; got != 0 {
+			t.Fatalf("P%d: %d replay mismatches", i, got)
+		}
 	}
 
 	// Every durable record replay-validates after the whole episode:

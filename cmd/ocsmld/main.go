@@ -13,37 +13,34 @@
 // produces (frames, encoded piggyback bytes, reconnects).
 //
 // Daemon mode hosts a single process; start one ocsmld per entry in
-// -peers (the -id'th address is bound locally). A killed daemon is
-// restarted with -recover: before resuming it coordinates a wire-level
-// recovery round (RB_BGN/RB_LINE/RB_CMT/RB_ACK, see DESIGN.md) that
-// agrees the recovery line with the surviving daemons, rolls them back,
-// and fences the pre-crash epoch; its own state is then reloaded from
-// the -datadir manifest at the agreed line. -resume <seq> remains as
-// the manual override when the line is known out of band.
+// -peers (the -id'th address is bound locally). Both modes run a
+// transport.Cluster — daemon mode one that hosts only its own process —
+// so start-up, recovery, storage GC and shutdown are the same code. A
+// killed daemon is restarted with -recover: before resuming it
+// coordinates a wire-level recovery round (RB_BGN/RB_LINE/RB_CMT/RB_ACK,
+// see DESIGN.md) that agrees the recovery line with the surviving
+// daemons, rolls them back, and fences the pre-crash epoch; its own
+// state is then reloaded from the -datadir manifest at the agreed line.
+// -resume <seq> remains as the manual override when the line is known
+// out of band.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"ocsml/internal/admin"
-	"ocsml/internal/checkpoint"
 	"ocsml/internal/core"
 	"ocsml/internal/des"
 	"ocsml/internal/fsstore"
-	"ocsml/internal/metrics"
-	"ocsml/internal/protocol"
-	"ocsml/internal/reliable"
-	"ocsml/internal/trace"
 	"ocsml/internal/transport"
 	"ocsml/internal/workload"
 )
@@ -63,7 +60,6 @@ func main() {
 		n         = flag.Int("n", 4, "cluster size (spawn-all)")
 		id        = flag.Int("id", -1, "this process's id (daemon mode)")
 		peers     = flag.String("peers", "", "comma-separated host:port list, one per process; entry -id is bound locally")
-		proto     = flag.String("proto", "ocsml", "protocol (the network runtime hosts ocsml)")
 		datadir   = flag.String("datadir", "", "directory for file-backed stable storage (enables restart)")
 		resume    = flag.Int("resume", -1, "restart from this finalized checkpoint seq (daemon mode; needs -datadir)")
 		recoverF  = flag.Bool("recover", false, "coordinate a wire-level recovery round with the surviving peers before resuming (daemon mode; needs -datadir; overrides -resume)")
@@ -87,8 +83,9 @@ func main() {
 	)
 	flag.Parse()
 
-	if *proto != "ocsml" {
-		fatalf("the network runtime hosts the ocsml protocol (got %q); baselines run under cmd/ckptsim", *proto)
+	if *chaos {
+		runChaos(*n, *seed, *datadir, *chaosFor, *jsonOut)
+		return
 	}
 	pat, ok := patterns[*pattern]
 	if !ok {
@@ -97,17 +94,23 @@ func main() {
 	opt := core.DefaultOptions()
 	opt.Interval = des.Duration(*interval)
 	opt.Timeout = des.Duration(*timeout)
-	wl := workload.Config{Pattern: pat, Steps: *steps, Think: des.Duration(*think), MsgBytes: *msgBytes}
-
-	if *chaos {
-		runChaos(*n, *seed, *datadir, *chaosFor, *jsonOut)
-		return
+	fsOpts := fsstore.DefaultOptions()
+	fsOpts.GroupWindow = *groupWin
+	cfg := transport.ClusterConfig{
+		N: *n, ID: *id, Seed: *seed, Datadir: *datadir, Opt: opt, Reliable: *reliableF,
+		Workload:       workload.Config{Pattern: pat, Steps: *steps, Think: des.Duration(*think), MsgBytes: *msgBytes},
+		WriteBandwidth: *bw, Timeout: *runFor, Drain: *drain,
+		FSOptions: fsOpts, GCInterval: *gcEvery,
 	}
 	if *spawnAll {
-		runCluster(*n, *seed, *datadir, opt, wl, *bw, *reliableF, *runFor, *drain, *jsonOut, *adminAddr, *gcEvery, *groupWin)
+		runCluster(cfg, *adminAddr, *jsonOut)
 		return
 	}
-	runDaemon(*id, *peers, *datadir, *resume, *recoverF, *seed, opt, wl, *bw, *reliableF, *runFor, *drain, *jsonOut, *adminAddr, *gcEvery, *groupWin)
+	if *peers == "" {
+		fatalf("daemon mode needs -peers (or use -spawn-all)")
+	}
+	cfg.Addrs = strings.Split(*peers, ",")
+	runDaemon(cfg, *resume, *recoverF, *adminAddr, *jsonOut)
 }
 
 // runChaos is -chaos: one seeded fault-injection round against a live
@@ -133,11 +136,7 @@ func runChaos(n int, seed int64, datadir string, faultFor time.Duration, jsonOut
 		rep.FaultStats.Dropped, rep.FaultStats.Partitioned, rep.FaultStats.Duplicated,
 		rep.FaultStats.Delayed, rep.FaultStats.Reordered, rep.FaultStats.Passed)
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatalf("%v", err)
-		}
+		emitJSON(rep)
 	} else {
 		fmt.Print(rep.Render())
 	}
@@ -146,28 +145,24 @@ func runChaos(n int, seed int64, datadir string, faultFor time.Duration, jsonOut
 	}
 }
 
-// runCluster is -spawn-all: the whole cluster in one OS process, nodes
-// talking over real localhost TCP.
-func runCluster(n int, seed int64, datadir string, opt core.Options, wl workload.Config,
-	bw int64, rel bool, runFor, drain time.Duration, jsonOut bool, adminAddr string,
-	gcEvery, groupWin time.Duration) {
-	fsOpts := fsstore.DefaultOptions()
-	fsOpts.GroupWindow = groupWin
-	c, err := transport.NewCluster(transport.ClusterConfig{
-		N: n, Seed: seed, Datadir: datadir, Opt: opt, Reliable: rel,
-		Workload: wl, WriteBandwidth: bw, Timeout: runFor, Drain: drain,
-		FSOptions: fsOpts, GCInterval: gcEvery,
-	})
-	if err != nil {
+// run drives a built cluster to the end of its workload: start it,
+// bring up the admin control plane (after the nodes, so /v1/readyz never
+// answers 200 for a process whose mesh is not yet serving), wait and
+// drain. SIGINT/SIGTERM end the run early. Either way the stop is
+// graceful and in dependency order: the admin server drains, queued
+// stable-storage writes reach the disk, then the mesh closes. The error
+// is Cluster.Finish's: the deadline passed or a signal arrived before
+// the workload completed.
+func run(c *transport.Cluster, datadir, adminAddr string) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := c.Start(); err != nil {
 		fatalf("%v", err)
 	}
-	// The admin server drains before the mesh closes (RunThen's
-	// pre-stop hook), so an in-flight status read never races a dying
-	// node.
 	var beforeStop func()
 	if adminAddr != "" {
 		srv := admin.NewServer(admin.Config{
-			Nodes: c.Nodes, Registry: c.Metrics, Datadir: datadir, N: n,
+			Nodes: c.Nodes, Registry: c.Metrics, Datadir: datadir, N: len(c.Addrs()),
 		})
 		if err := srv.Start(adminAddr); err != nil {
 			fatalf("%v", err)
@@ -175,7 +170,17 @@ func runCluster(n int, seed int64, datadir string, opt core.Options, wl workload
 		fmt.Fprintf(os.Stderr, "ocsmld: admin control plane on %s\n", srv.Addr())
 		beforeStop = func() { srv.Close() }
 	}
-	if err := c.RunThen(beforeStop); err != nil {
+	return c.Finish(ctx, beforeStop)
+}
+
+// runCluster is -spawn-all: the whole cluster in one OS process, nodes
+// talking over real localhost TCP.
+func runCluster(cfg transport.ClusterConfig, adminAddr string, jsonOut bool) {
+	c, err := transport.NewCluster(cfg)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if err := run(c, cfg.Datadir, adminAddr); err != nil {
 		fatalf("%v", err)
 	}
 	rep, err := c.Report()
@@ -183,11 +188,7 @@ func runCluster(n int, seed int64, datadir string, opt core.Options, wl workload
 		fatalf("consistency check failed: %v", err)
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatalf("%v", err)
-		}
+		emitJSON(rep)
 		return
 	}
 	fmt.Printf("protocol            ocsml (tcp mesh)\n")
@@ -203,223 +204,50 @@ func runCluster(n int, seed int64, datadir string, opt core.Options, wl workload
 	fmt.Printf("reconnects          %d\n", rep.Reconnects)
 	fmt.Printf("frames dropped      %d\n", rep.Dropped)
 	fmt.Printf("message log bytes   %d\n", rep.LogBytes)
-	if datadir != "" {
-		last, err := fsstore.LastCompleteSeq(datadir, rep.N)
+	if cfg.Datadir != "" {
+		last, err := fsstore.LastCompleteSeq(cfg.Datadir, rep.N)
 		if err != nil {
 			fatalf("manifest check: %v", err)
 		}
 		fmt.Printf("durable S_k         %d (all %d manifests)\n", last, rep.N)
 	}
-	names := make([]string, 0, len(rep.Counters))
-	for name := range rep.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Printf("  %-24s %d\n", name, rep.Counters[name])
-	}
+	printCounters(rep.Counters)
 }
 
 // runDaemon hosts one process of a cluster whose other members are
-// separate ocsmld invocations (possibly on other machines).
-func runDaemon(id int, peerList, datadir string, resume int, recoverFlag bool, seed int64, opt core.Options,
-	wl workload.Config, bw int64, rel bool, runFor, drain time.Duration, jsonOut bool, adminAddr string,
-	gcEvery, groupWin time.Duration) {
-	if peerList == "" {
-		fatalf("daemon mode needs -peers (or use -spawn-all)")
+// separate ocsmld invocations (possibly on other machines): a
+// transport.Cluster that hosts only process cfg.ID. Its recorder,
+// checkpoint store and metric registry observe only this process.
+func runDaemon(cfg transport.ClusterConfig, resume int, recoverFlag bool, adminAddr string, jsonOut bool) {
+	if (recoverFlag || resume >= 0) && cfg.Datadir == "" {
+		fatalf("-recover and -resume need -datadir")
 	}
-	addrs := strings.Split(peerList, ",")
-	n := len(addrs)
-	if id < 0 || id >= n {
-		fatalf("-id %d out of range for %d peers", id, n)
-	}
-	if n < 2 {
-		fatalf("need at least 2 peers")
-	}
-	// Local (per-daemon) recorder, checkpoint store and metric registry:
-	// in daemon mode every process observes only itself. The free-form
-	// counter namespace lands in the registry's events family, which the
-	// admin server's /metrics and the exit report both read.
-	rec := trace.NewRecorder()
-	ckpts := checkpoint.NewStore(n)
-	reg := metrics.NewRegistry()
-	count := reg.EventSink()
-
-	var fs *fsstore.Store
-	var err error
-	if datadir != "" {
-		fsOpts := fsstore.DefaultOptions()
-		fsOpts.GroupWindow = groupWin
-		if fs, err = fsstore.OpenWith(datadir, id, n, fsOpts); err != nil {
-			fatalf("%v", err)
-		}
-		fs.SetMetrics(fsstore.NewStoreMetrics(reg, id))
-	}
-
-	epoch := 0
-	if recoverFlag {
-		// Restart after a crash: before resuming, run the wire-level
-		// recovery handshake from this process's own address — survivors
-		// report their durable manifests, the line is agreed as the
-		// highest fully-durable seq, they roll back, and the committed
-		// epoch fences all pre-crash traffic.
-		if fs == nil {
-			fatalf("-recover needs -datadir")
-		}
-		ln, err := net.Listen("tcp", addrs[id])
-		if err != nil {
-			fatalf("binding %s: %v", addrs[id], err)
-		}
-		dec, err := transport.Coordinate(transport.CoordinatorConfig{
-			ID: id, Addrs: addrs, Seed: seed,
-			Seqs: fs.Manifest().Seqs, Count: count,
-		}, ln) // closes ln, so the node below can rebind
-		if err != nil {
-			fatalf("recovery coordination: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "ocsmld: P%d recovery committed line %d epoch %d\n", id, dec.Line, dec.Epoch)
-		resume = dec.Line
-		epoch = dec.Epoch
-	}
-
-	var resumeRec *checkpoint.Record
-	if resume >= 0 {
-		if fs == nil {
-			fatalf("-resume needs -datadir")
-		}
-		if err := fs.TruncateAfter(resume); err != nil {
-			fatalf("truncating above the recovery line: %v", err)
-		}
-		man := fs.Manifest()
-		sort.Ints(man.Seqs)
-		for _, seq := range man.Seqs {
-			r, err := fs.Load(seq)
-			if err != nil {
-				fatalf("loading durable checkpoint %d: %v", seq, err)
-			}
-			ckpts.Proc(id).Add(r)
-			if seq == resume {
-				cp := r
-				resumeRec = &cp
-			}
-		}
-		if resumeRec == nil && resume > 0 {
-			fatalf("no durable checkpoint at recovery line %d", resume)
-		}
-		if resumeRec == nil { // line 0: initial state
-			resumeRec = &checkpoint.Record{}
-		}
-	}
-
-	ln, err := net.Listen("tcp", addrs[id])
-	if err != nil {
-		fatalf("binding %s: %v", addrs[id], err)
-	}
-	var pr protocol.Protocol
-	cp := core.New(opt)
-	if resume >= 0 {
-		cp.SetResume(resume)
-	}
-	pr = cp
-	if rel {
-		pr = reliable.Wrap(cp, reliable.Options{})
-	}
-	doneCh := make(chan struct{}, 1)
-	node, err := transport.NewNode(transport.NodeConfig{
-		ID: id, N: n, Addrs: addrs, Listener: ln,
-		Seed: seed, Epoch: epoch, Resume: resume, ResumeRec: resumeRec,
-		Proto: pr, App: workload.Factory(wl)(id, n),
-		Rec: rec, Ckpts: ckpts, Count: count, Metrics: reg,
-		FS: fs, WriteBandwidth: bw,
-		OnDone: func(int) {
-			select {
-			case doneCh <- struct{}{}:
-			default:
-			}
-		},
-	})
+	id := cfg.ID
+	c, err := transport.NewCluster(cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	node.Start()
-	fmt.Fprintf(os.Stderr, "ocsmld: P%d listening on %s (n=%d, resume=%d)\n", id, addrs[id], n, resume)
-
-	// The control plane comes up after the node so /v1/readyz never
-	// answers 200 for a process whose mesh is not yet serving.
-	var srv *admin.Server
-	if adminAddr != "" {
-		srv = admin.NewServer(admin.Config{
-			Nodes:    func() []*transport.Node { return []*transport.Node{node} },
-			Registry: reg, Datadir: datadir, N: n,
-		})
-		if err := srv.Start(adminAddr); err != nil {
-			fatalf("%v", err)
+	switch {
+	case recoverFlag:
+		// Restart after a crash: run the wire-level recovery handshake
+		// from this process's own address — survivors report their
+		// durable manifests, the line is agreed as the highest
+		// fully-durable seq, they roll back, and the committed epoch
+		// fences all pre-crash traffic — then resume at the line.
+		if resume, err = c.Recover(id); err != nil {
+			fatalf("recovery: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "ocsmld: P%d admin control plane on %s\n", id, srv.Addr())
-	}
-
-	// Daemon-mode GC: the datadir is shared, so the globally durable
-	// line S_k is readable here too — the intersection of every
-	// process's manifest. Each tick prunes this process's own store
-	// below it; peers never touch each other's directories.
-	gcQuit := make(chan struct{})
-	var gcWG sync.WaitGroup
-	if fs != nil && gcEvery > 0 {
-		gcWG.Add(1)
-		go func() {
-			defer gcWG.Done()
-			tick := time.NewTicker(gcEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-gcQuit:
-					return
-				case <-tick.C:
-				}
-				wm, err := fsstore.LastCompleteSeq(datadir, n)
-				if err != nil || wm <= 0 {
-					continue // a peer's manifest is missing or torn; retry next tick
-				}
-				if err := fs.GCTo(wm); err != nil {
-					count("fsstore.gc_errors", 1)
-					continue
-				}
-				count("fsstore.gc_sweeps", 1)
-			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	completed := false
-	select {
-	case <-doneCh:
-		completed = true
-		// Stay up through the drain so peers can finish their own quotas
-		// and the last checkpoint round can finalize everywhere.
-		select {
-		case <-time.After(drain):
-		case <-sig:
+		fmt.Fprintf(os.Stderr, "ocsmld: P%d recovery committed line %d\n", id, resume)
+	case resume >= 0:
+		if err := c.Restart(id, resume); err != nil {
+			fatalf("resuming at %d: %v", resume, err)
 		}
-	case <-sig:
-	case <-time.After(runFor):
 	}
-	// Graceful stop, in dependency order: stop admitting control-plane
-	// requests, let queued stable-storage writes reach the disk, then
-	// close the mesh. A SIGTERM therefore never abandons an in-flight
-	// finalization the manifest was about to record.
-	close(gcQuit)
-	gcWG.Wait()
-	if srv != nil {
-		//ocsml:errsink shutdown path; a failed drain still force-closes the listener
-		srv.Close()
-	}
-	if !node.WaitStorageIdle(2 * time.Second) {
-		fmt.Fprintf(os.Stderr, "ocsmld: P%d storage queue did not drain; closing anyway\n", id)
-	}
-	node.Close()
+	fmt.Fprintf(os.Stderr, "ocsmld: P%d listening on %s (n=%d, resume=%d)\n", id, cfg.Addrs[id], len(cfg.Addrs), resume)
+	completed := run(c, cfg.Datadir, adminAddr) == nil
 
-	type daemonReport struct {
+	node := c.Node(id)
+	dr := struct {
 		ID             int
 		Completed      bool
 		FinalizedSeqs  []int
@@ -428,29 +256,24 @@ func runDaemon(id int, peerList, datadir string, resume int, recoverFlag bool, s
 		StaleDropped   int64
 		DecodeErrors   int64
 		Counters       map[string]int64
-	}
-	dr := daemonReport{
+	}{
 		ID: id, Completed: completed,
 		Mesh:           node.Mesh().Stats(),
 		StaleDropped:   node.StaleDropped(),
 		DecodeErrors:   node.DecodeErrors(),
-		Counters:       reg.EventCounts(),
+		Counters:       c.Counters(),
 		DurableLastSeq: -1,
 	}
-	for _, r := range ckpts.Proc(id).All() {
+	for _, r := range c.Ckpts.Proc(id).All() {
 		if r.Seq > 0 && r.FinalizedAt != 0 {
 			dr.FinalizedSeqs = append(dr.FinalizedSeqs, r.Seq)
 		}
 	}
-	if fs != nil {
+	if fs := c.FS(id); fs != nil {
 		dr.DurableLastSeq = fs.LastSeq()
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(dr); err != nil {
-			fatalf("%v", err)
-		}
+		emitJSON(dr)
 		return
 	}
 	fmt.Printf("process             P%d\n", dr.ID)
@@ -461,13 +284,25 @@ func runDaemon(id int, peerList, datadir string, resume int, recoverFlag bool, s
 	fmt.Printf("bytes sent/recv     %d/%d\n", dr.Mesh.BytesSent, dr.Mesh.BytesRecv)
 	fmt.Printf("reconnects          %d\n", dr.Mesh.Reconnects)
 	fmt.Printf("stale dropped       %d\n", dr.StaleDropped)
-	names := make([]string, 0, len(dr.Counters))
-	for name := range dr.Counters {
+	printCounters(dr.Counters)
+}
+
+func printCounters(counters map[string]int64) {
+	names := make([]string, 0, len(counters))
+	for name := range counters {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Printf("  %-24s %d\n", name, dr.Counters[name])
+		fmt.Printf("  %-24s %d\n", name, counters[name])
+	}
+}
+
+func emitJSON(v any) {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		fatalf("%v", err)
 	}
 }
 

@@ -53,7 +53,9 @@ func testCluster(t *testing.T, datadir string) (*transport.Cluster, *Server) {
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() {
 		// The control plane drains before the mesh closes — same order
 		// as the daemon's shutdown path.

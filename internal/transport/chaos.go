@@ -158,8 +158,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	rep := &ChaosReport{Seed: cfg.Cluster.Seed, Schedule: sched}
 	inj.Activate(c.base)
-	c.Start()
 	defer c.Stop()
+	if err := c.Start(); err != nil {
+		return nil, err
+	}
 
 	datadir, n := cfg.Cluster.Datadir, cfg.Cluster.N
 	convergeOK := true

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sort"
@@ -18,13 +19,19 @@ import (
 	"ocsml/internal/workload"
 )
 
-// ClusterConfig parameterizes an in-process spawn-all cluster: N nodes
-// in one OS process, talking to each other over real localhost TCP
-// connections — the -spawn-all mode of cmd/ocsmld and the harness of
-// the transport integration tests.
+// ClusterConfig parameterizes a cluster: the processes this OS process
+// hosts, talking to each other and to their peers over real TCP — both
+// modes of cmd/ocsmld (-spawn-all hosts all N on localhost, daemon mode
+// hosts one) and the harness of the transport integration tests.
 type ClusterConfig struct {
 	N    int
 	Seed int64
+	// Addrs, when non-nil, is the address table of a cluster spread over
+	// OS processes (one entry per process; N becomes len(Addrs)), and
+	// this cluster hosts only process ID, bound at Addrs[ID]. Nil hosts
+	// all N processes on ephemeral localhost ports.
+	Addrs []string
+	ID    int
 	// Datadir, when non-empty, enables file-backed stable storage (one
 	// fsstore directory per process).
 	Datadir string
@@ -45,10 +52,6 @@ type ClusterConfig struct {
 	// Hook, when non-nil, filters every outgoing frame of every node —
 	// the chaos runner's fault-injection point (internal/faultnet).
 	Hook SendHook
-	// WireVersion pins every node's wire format (see
-	// NodeConfig.WireVersion). Zero means wire.VersionLatest; 1 runs
-	// the whole cluster on the v1 format, the mixed-version fallback.
-	WireVersion int
 	// Metrics is the shared named-metric registry of the cluster's nodes
 	// (a fresh one when nil). The free-form counter namespace lands in
 	// its events family; Counter/Counters read from there.
@@ -59,13 +62,17 @@ type ClusterConfig struct {
 	FSOptions fsstore.Options
 	// GCInterval, when positive, runs the storage garbage collector: a
 	// cluster goroutine periodically intersects the durable manifests and
-	// prunes every store below the globally finalized S_k watermark.
-	// Requires Datadir. Zero disables collection.
+	// prunes every hosted store below the globally finalized S_k
+	// watermark. Requires Datadir. Zero disables collection.
 	GCInterval time.Duration
 }
 
-// Cluster is a set of transport nodes sharing one recorder, checkpoint
-// store and metric registry, connected by real TCP.
+// Cluster is the set of transport nodes one OS process hosts, sharing a
+// recorder, checkpoint store and metric registry, connected by real
+// TCP. Every way a process comes up — fresh (Start), from a known line
+// (Restart) or through a coordinated recovery round (Recover) — and its
+// storage GC and shutdown run here, whether the cluster hosts all N
+// processes or one.
 type Cluster struct {
 	cfg   ClusterConfig
 	Rec   *trace.Recorder
@@ -75,17 +82,18 @@ type Cluster struct {
 	Metrics *metrics.Registry
 
 	addrs []string
-	nodes []*Node // elements replaced under mu by Restart
+	// lns holds the listeners NewCluster bound, until a node or a
+	// recovery round takes them over.
+	lns   []net.Listener
+	nodes []*Node // elements replaced under mu by Restart; nil until built
 	//ocsml:guardedby mu
-	fss   []*fsstore.Store // elements replaced under mu by Recover/Restart
+	fss   []*fsstore.Store // elements replaced under mu by Recover
 	base  time.Time
 	epoch int
 
 	count func(name string, delta int64)
 
-	mu sync.Mutex
-	//ocsml:guardedby mu
-	done   []bool
+	mu     sync.Mutex
 	doneCh chan struct{}
 
 	//ocsml:guardedby mu
@@ -102,9 +110,15 @@ type Cluster struct {
 	gcWG   sync.WaitGroup
 }
 
-// NewCluster binds N localhost listeners and builds the nodes. Nothing
-// runs until Start.
+// NewCluster binds the hosted processes' listeners and opens their
+// stores. No node exists until Start, Restart or Recover builds it.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
+	if cfg.Addrs != nil {
+		cfg.N = len(cfg.Addrs)
+		if cfg.ID < 0 || cfg.ID >= cfg.N {
+			return nil, fmt.Errorf("transport: id %d out of range for %d addresses", cfg.ID, cfg.N)
+		}
+	}
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("transport: cluster needs at least 2 processes")
 	}
@@ -124,104 +138,148 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Metrics: cfg.Metrics,
 		base:    time.Now(), //ocsml:wallclock shared time origin of the real-network cluster
 		count:   cfg.Metrics.EventSink(),
-		done:    make([]bool, cfg.N),
 		doneCh:  make(chan struct{}, 1),
+		addrs:   append([]string(nil), cfg.Addrs...),
+		lns:     make([]net.Listener, cfg.N),
 		nodes:   make([]*Node, cfg.N),
 		fss:     make([]*fsstore.Store, cfg.N),
 		gcQuit:  make(chan struct{}),
 	}
-	listeners := make([]net.Listener, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if !c.hosts(i) {
+			continue
+		}
+		addr := "127.0.0.1:0"
+		if cfg.Addrs != nil {
+			addr = cfg.Addrs[i]
+		}
+		ln, err := net.Listen("tcp", addr)
 		if err != nil {
-			for _, l := range listeners[:i] {
-				l.Close()
-			}
+			c.closeListeners()
 			return nil, err
 		}
-		listeners[i] = ln
-		c.addrs = append(c.addrs, ln.Addr().String())
-	}
-	for i := 0; i < cfg.N; i++ {
+		c.lns[i] = ln
+		if cfg.Addrs == nil {
+			c.addrs = append(c.addrs, ln.Addr().String())
+		}
 		if cfg.Datadir != "" {
-			fs, err := fsstore.OpenWith(cfg.Datadir, i, cfg.N, cfg.FSOptions)
-			if err != nil {
+			if _, err := c.openStore(i); err != nil {
+				c.closeListeners()
 				return nil, err
 			}
-			fs.SetMetrics(fsstore.NewStoreMetrics(c.Metrics, i))
-			c.fss[i] = fs
 		}
-		n, err := c.buildNode(i, listeners[i], -1, nil)
-		if err != nil {
-			return nil, err
-		}
-		c.nodes[i] = n
 	}
 	return c, nil
 }
 
-// buildNode assembles one node (fresh or resuming from a checkpoint).
-func (c *Cluster) buildNode(i int, ln net.Listener, resume int, rec *checkpoint.Record) (*Node, error) {
+// hosts reports whether process i runs in this cluster.
+func (c *Cluster) hosts(i int) bool { return c.cfg.Addrs == nil || i == c.cfg.ID }
+
+// openStore opens process i's store exactly as a fresh OS process
+// would — Open clears crash debris (torn temp files, orphan segments,
+// torn batch tails) and rebuilds a corrupt manifest — and installs it.
+func (c *Cluster) openStore(i int) (*fsstore.Store, error) {
+	fs, err := fsstore.OpenWith(c.cfg.Datadir, i, c.cfg.N, c.cfg.FSOptions)
+	if err != nil {
+		return nil, err
+	}
+	fs.SetMetrics(fsstore.NewStoreMetrics(c.Metrics, i))
+	c.mu.Lock()
+	c.fss[i] = fs
+	c.mu.Unlock()
+	return fs, nil
+}
+
+// listener hands out process i's listener: the one NewCluster bound,
+// once, and a fresh bind of the same address after that (a restart).
+func (c *Cluster) listener(i int) (net.Listener, error) {
+	if ln := c.lns[i]; ln != nil {
+		c.lns[i] = nil
+		return ln, nil
+	}
+	return net.Listen("tcp", c.addrs[i])
+}
+
+func (c *Cluster) closeListeners() {
+	for i, ln := range c.lns {
+		if ln != nil {
+			ln.Close()
+			c.lns[i] = nil
+		}
+	}
+}
+
+// buildNode assembles one node: fresh when rec is nil, otherwise
+// resuming from the durable checkpoint rec.
+func (c *Cluster) buildNode(i int, rec *checkpoint.Record) (*Node, error) {
+	ln, err := c.listener(i)
+	if err != nil {
+		return nil, err
+	}
 	var proto protocol.Protocol
 	cp := core.New(c.cfg.Opt)
-	if resume >= 0 {
-		cp.SetResume(resume)
+	if rec != nil {
+		cp.SetResume(rec.Seq)
 	}
 	proto = cp
 	if c.cfg.Reliable {
 		proto = reliable.Wrap(cp, reliable.Options{})
 	}
-	app := workload.Factory(c.cfg.Workload)(i, c.cfg.N)
-	return NewNode(NodeConfig{
-		ID: i, N: c.cfg.N, Addrs: c.addrs, Listener: ln,
-		Seed: c.cfg.Seed, Epoch: c.epoch,
-		Resume: resume, ResumeRec: rec,
-		Proto: proto, App: app,
-		Rec: c.Rec, Ckpts: c.Ckpts, Count: c.count,
-		Metrics:        c.Metrics,
+	n, err := NewNode(NodeConfig{
+		ID: i, Addrs: c.addrs, Listener: ln,
+		Seed: c.cfg.Seed, Epoch: c.epoch, ResumeRec: rec,
+		Proto: proto, App: workload.Factory(c.cfg.Workload)(i, c.cfg.N),
+		Rec: c.Rec, Ckpts: c.Ckpts, Metrics: c.Metrics,
 		Hook:           c.cfg.Hook,
-		WireVersion:    c.cfg.WireVersion,
 		FS:             c.FS(i),
 		WriteBandwidth: c.cfg.WriteBandwidth,
 		Base:           c.base,
 		OnDone:         c.nodeDone,
-		OnRollback:     func(id, _ int) { c.clearDone(id) },
 	})
+	if err != nil {
+		ln.Close()
+		return nil, err
+	}
+	c.mu.Lock()
+	c.nodes[i] = n
+	c.mu.Unlock()
+	return n, nil
 }
 
 // Addrs returns the cluster's TCP addresses.
 func (c *Cluster) Addrs() []string { return append([]string(nil), c.addrs...) }
 
 // Node returns process i's node (the current incarnation — Restart
-// replaces the element).
+// replaces the element; nil before the process is first built or when
+// another OS process hosts it).
 func (c *Cluster) Node(i int) *Node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.nodes[i]
 }
 
-// Nodes snapshots the current node set — the admin server's view of the
+// Nodes snapshots the built nodes — the admin server's view of the
 // locally hosted processes (called per request, so a restarted node is
 // observed).
 func (c *Cluster) Nodes() []*Node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]*Node(nil), c.nodes...)
+	out := make([]*Node, 0, len(c.nodes))
+	for _, n := range c.nodes {
+		if n != nil {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
-// FS returns process i's on-disk store (nil without a datadir; the
-// current incarnation — Recover/Restart replace the element).
+// FS returns process i's on-disk store (nil without a datadir or for a
+// process another OS process hosts; the current incarnation — Recover
+// replaces the element).
 func (c *Cluster) FS(i int) *fsstore.Store {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.fss[i]
-}
-
-// setFS swaps in a reopened store for process i.
-func (c *Cluster) setFS(i int, fs *fsstore.Store) {
-	c.mu.Lock()
-	c.fss[i] = fs
-	c.mu.Unlock()
 }
 
 // setRecovering flips the GC pause flag around a recovery.
@@ -231,22 +289,34 @@ func (c *Cluster) setRecovering(v bool) {
 	c.mu.Unlock()
 }
 
-// Start launches every node, plus the storage GC loop when configured.
-func (c *Cluster) Start() {
-	for _, n := range c.nodes {
+// Start builds a fresh node for every hosted process that Restart or
+// Recover has not already brought up, launches every node, and starts
+// the storage GC loop when configured.
+func (c *Cluster) Start() error {
+	for i := 0; i < c.cfg.N; i++ {
+		if c.hosts(i) && c.Node(i) == nil {
+			if _, err := c.buildNode(i, nil); err != nil {
+				return err
+			}
+		}
+	}
+	for _, n := range c.Nodes() {
 		n.Start()
 	}
 	if c.cfg.Datadir != "" && c.cfg.GCInterval > 0 {
 		c.gcWG.Add(1)
 		go c.gcLoop()
 	}
+	return nil
 }
 
-// gcLoop periodically prunes every store below the globally finalized
-// S_k watermark: the intersection of the durable manifests is the last
-// checkpoint line recovery can ever need, so everything strictly below
-// it is dead weight (the paper's retention argument). Collection skips
-// ticks while a recovery is reloading a store.
+// gcLoop periodically prunes every hosted store below the globally
+// finalized S_k watermark: the intersection of the durable manifests is
+// the last checkpoint line recovery can ever need, so everything
+// strictly below it is dead weight (the paper's retention argument).
+// The datadir is shared, so a daemon reads its peers' manifests here
+// too but prunes only its own store. Collection skips ticks while a
+// recovery is reloading a store.
 func (c *Cluster) gcLoop() {
 	defer c.gcWG.Done()
 	ticker := time.NewTicker(c.cfg.GCInterval)
@@ -265,7 +335,7 @@ func (c *Cluster) gcLoop() {
 		}
 		wm, err := fsstore.LastCompleteSeq(c.cfg.Datadir, c.cfg.N)
 		if err != nil || wm <= 0 {
-			continue
+			continue // a peer's manifest is missing or torn; retry next tick
 		}
 		for i := 0; i < c.cfg.N; i++ {
 			fs := c.FS(i)
@@ -280,37 +350,49 @@ func (c *Cluster) gcLoop() {
 	}
 }
 
-// WaitDone blocks until every process has completed its workload quota
-// or the deadline passes.
+// WaitDone blocks until every hosted process has completed its workload
+// quota or the deadline passes.
 func (c *Cluster) WaitDone(timeout time.Duration) error {
+	return c.waitDone(context.Background(), timeout)
+}
+
+func (c *Cluster) waitDone(ctx context.Context, timeout time.Duration) error {
 	deadline := time.After(timeout)
-	for {
+	for !c.allDone() {
 		select {
 		case <-c.doneCh:
-			if c.allDone() {
-				return nil
-			}
+		case <-ctx.Done():
+			return ctx.Err()
 		case <-deadline:
 			return fmt.Errorf("transport: workload did not complete within %v", timeout)
 		}
 	}
+	return nil
 }
 
 // Run executes the cluster start-to-finish: start, wait for the
 // workload, drain, stop.
-func (c *Cluster) Run() error { return c.RunThen(nil) }
+func (c *Cluster) Run() error {
+	if err := c.Start(); err != nil {
+		c.Stop()
+		return err
+	}
+	return c.Finish(context.Background(), nil)
+}
 
-// RunThen is Run with a pre-stop hook: beforeStop (when non-nil) runs
-// after the drain and before the nodes close. The daemon shuts its
-// admin server down there, so an in-flight status read still observes a
-// live mesh — the shutdown ordering the control plane requires.
-func (c *Cluster) RunThen(beforeStop func()) error {
-	c.Start()
+// Finish is the second half of Run, for a cluster already started: it
+// waits for the workload (up to ClusterConfig.Timeout), keeps the
+// cluster up through the drain, then runs beforeStop (when non-nil) and
+// Stop. Cancelling ctx ends the wait with ctx's error, or cuts the
+// drain short. ocsmld shuts its admin server down in beforeStop, so an
+// in-flight status read still observes a live mesh — the shutdown
+// ordering the control plane requires.
+func (c *Cluster) Finish(ctx context.Context, beforeStop func()) error {
 	defer c.Stop()
 	if beforeStop != nil {
 		defer beforeStop() // deferred after Stop, so it runs first (LIFO)
 	}
-	if err := c.WaitDone(c.cfg.Timeout); err != nil {
+	if err := c.waitDone(ctx, c.cfg.Timeout); err != nil {
 		return err
 	}
 	//ocsml:wallclock makespan of a real-network run is wall time by definition
@@ -318,19 +400,30 @@ func (c *Cluster) RunThen(beforeStop func()) error {
 	c.mu.Lock()
 	c.makespan = makespan
 	c.mu.Unlock()
-	time.Sleep(c.cfg.Drain)
+	select {
+	case <-time.After(c.cfg.Drain):
+	case <-ctx.Done():
+	}
 	return nil
 }
 
-// Stop closes every node and stops the GC loop.
+// Stop shuts the cluster down in dependency order: the GC loop stops,
+// queued stable-storage writes reach the disk (so a graceful stop never
+// abandons an in-flight finalization the manifest was about to record),
+// then the nodes close.
 func (c *Cluster) Stop() {
 	c.gcOnce.Do(func() { close(c.gcQuit) })
 	c.gcWG.Wait()
-	for _, n := range c.Nodes() {
-		if n != nil {
-			n.Close()
+	nodes := c.Nodes()
+	for _, n := range nodes {
+		if !n.closed.Load() && !n.WaitStorageIdle(2*time.Second) {
+			c.count("fsstore.drain_timeouts", 1)
 		}
 	}
+	for _, n := range nodes {
+		n.Close()
+	}
+	c.closeListeners()
 }
 
 // Kill crashes process i: its node stops abruptly, volatile state (the
@@ -343,32 +436,34 @@ func (c *Cluster) Kill(i int) {
 	c.count("recovery.failures", 1)
 }
 
-// Recover drives the wire-level recovery protocol for the crashed
-// process: rebind its address, coordinate the recovery line from the
-// cluster's durable manifests (RB_BGN -> RB_LINE -> RB_CMT -> RB_ACK,
-// see Coordinate), then restart the victim from its on-disk store at the
-// agreed line. The survivors roll back through the same RB_* handlers a
-// standalone ocsmld daemon uses — the cluster does not reach into their
-// state directly, so the in-process cluster and a multi-OS-process
-// deployment exercise one recovery code path. Returns the agreed line.
+// Recover brings a crashed process back through the wire-level recovery
+// protocol: coordinate the recovery line from the cluster's durable
+// manifests (RB_BGN -> RB_LINE -> RB_CMT -> RB_ACK, see Coordinate) on
+// the victim's address, then Restart the victim at the agreed line. The
+// survivors roll back through their RB_* handlers — the cluster does not
+// reach into their state — so a victim killed in-process and an ocsmld
+// daemon restarted with -recover run this same path. Returns the agreed
+// line.
 func (c *Cluster) Recover(victim int) (int, error) {
-	if c.FS(victim) == nil {
-		return -1, fmt.Errorf("transport: recovery of P%d needs a datadir", victim)
+	fs := c.FS(victim)
+	if fs == nil {
+		return -1, fmt.Errorf("transport: recovery of P%d needs a datadir and must be hosted here", victim)
 	}
 	// Pause the GC loop for the whole recovery: a sweep racing the
-	// reload below could collect records the restart is about to read.
+	// reload could collect records the restart is about to read.
 	c.setRecovering(true)
 	defer c.setRecovering(false)
-	// Reopen the store exactly as a fresh OS process would — Open clears
-	// crash debris and rebuilds a corrupt manifest — before voting with
-	// its manifest in the line intersection.
-	fs, err := fsstore.OpenWith(c.cfg.Datadir, victim, c.cfg.N, c.cfg.FSOptions)
-	if err != nil {
-		return -1, err
+	if c.Node(victim) != nil {
+		// An incarnation crashed in this OS process: its store object
+		// holds pre-crash state, so reopen from disk before the store
+		// votes with its manifest. A freshly started process already
+		// opened it in NewCluster.
+		var err error
+		if fs, err = c.openStore(victim); err != nil {
+			return -1, err
+		}
 	}
-	fs.SetMetrics(fsstore.NewStoreMetrics(c.Metrics, victim))
-	c.setFS(victim, fs)
-	ln, err := net.Listen("tcp", c.addrs[victim])
+	ln, err := c.listener(victim)
 	if err != nil {
 		return -1, err
 	}
@@ -376,37 +471,27 @@ func (c *Cluster) Recover(victim int) (int, error) {
 		ID: victim, Addrs: c.addrs, Seed: c.cfg.Seed,
 		Seqs: fs.Manifest().Seqs, Epoch: c.epoch,
 		Hook: c.cfg.Hook, Count: c.count,
-	}, ln)
+	}, ln) // closes ln, so the restarted node can rebind
 	if err != nil {
 		return -1, err
 	}
 	c.epoch = dec.Epoch
 	c.count("recovery.recoveries", 1)
-	if err := c.Restart(victim, dec.Line); err != nil {
-		return dec.Line, err
-	}
-	return dec.Line, nil
+	return dec.Line, c.Restart(victim, dec.Line)
 }
 
-// Restart brings a killed process back from its on-disk store: the
-// listener rebinds the original address, the checkpoint store is
-// reloaded up to the recovery line, and the protocol resumes from it.
-// Recover calls it after the wire handshake has rolled the survivors
-// back to the same line and advanced the cluster epoch.
+// Restart brings process i up from its on-disk store at a recovery
+// line: the store is truncated above the line, P_i's durable
+// checkpoints are reloaded, and a node resuming from the line's record
+// rebinds the original address and starts. Recover calls it after the
+// wire handshake has rolled the survivors back to the same line and
+// advanced the cluster epoch; ocsmld -resume calls it directly when the
+// line is known out of band.
 func (c *Cluster) Restart(i, line int) error {
-	if c.FS(i) == nil {
-		return fmt.Errorf("transport: restart of P%d needs a datadir", i)
+	fs := c.FS(i)
+	if fs == nil {
+		return fmt.Errorf("transport: restart of P%d needs a datadir and must be hosted here", i)
 	}
-	// Reopen the store, exactly as a fresh OS process would: Open clears
-	// crash debris (torn temp files, orphan segments, torn batch tails)
-	// and rebuilds a corrupt manifest, so a restart exercises the same
-	// recovery path as a real daemon.
-	fs, err := fsstore.OpenWith(c.cfg.Datadir, i, c.cfg.N, c.cfg.FSOptions)
-	if err != nil {
-		return err
-	}
-	fs.SetMetrics(fsstore.NewStoreMetrics(c.Metrics, i))
-	c.setFS(i, fs)
 	if err := fs.TruncateAfter(line); err != nil {
 		return err
 	}
@@ -428,19 +513,10 @@ func (c *Cluster) Restart(i, line int) error {
 	if rec.Seq != line && line > 0 {
 		return fmt.Errorf("transport: P%d has no durable checkpoint at line %d", i, line)
 	}
-	ln, err := net.Listen("tcp", c.addrs[i])
+	n, err := c.buildNode(i, &rec)
 	if err != nil {
 		return err
 	}
-	c.clearDone(i)
-	n, err := c.buildNode(i, ln, line, &rec)
-	if err != nil {
-		ln.Close()
-		return err
-	}
-	c.mu.Lock()
-	c.nodes[i] = n
-	c.mu.Unlock()
 	n.Start()
 	c.count("recovery.restarts", 1)
 	return nil
@@ -457,31 +533,25 @@ func (c *Cluster) Counters() map[string]int64 {
 	return c.Metrics.EventCounts()
 }
 
-func (c *Cluster) nodeDone(id int) {
-	c.mu.Lock()
-	c.done[id] = true
-	c.mu.Unlock()
+// nodeDone wakes WaitDone; completion itself is each node's own flag.
+func (c *Cluster) nodeDone(int) {
 	select {
 	case c.doneCh <- struct{}{}:
 	default:
 	}
 }
 
+// allDone reports whether every hosted process has a node that
+// completed its quota.
 func (c *Cluster) allDone() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, d := range c.done {
-		if !d {
+	for i, n := range c.nodes {
+		if c.hosts(i) && (n == nil || !n.Completed()) {
 			return false
 		}
 	}
 	return true
-}
-
-func (c *Cluster) clearDone(i int) {
-	c.mu.Lock()
-	c.done[i] = false
-	c.mu.Unlock()
 }
 
 // CheckGlobals verifies every complete global checkpoint against the

@@ -69,41 +69,116 @@ func validateDisk(t *testing.T, datadir string, n, wantSeq int) {
 	}
 }
 
+// TestClusterRun runs a cluster start to finish on two inputs: steady
+// uniform traffic, and a quiet run with almost no application messages,
+// whose checkpoint rounds must converge through CK_* control rounds
+// (paper §3.5.1) — CK_REQ traffic instead of piggybacks.
 func TestClusterRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time cluster test")
 	}
+	for _, tc := range []struct {
+		name    string
+		adjust  func(*ClusterConfig)
+		wantCtl string // a control tag the run must send
+	}{
+		{name: "uniform", adjust: func(*ClusterConfig) {}},
+		{name: "quiet", wantCtl: "ctl.CK_REQ", adjust: func(cfg *ClusterConfig) {
+			cfg.Opt = core.Options{
+				Interval:    30 * des.Millisecond,
+				Timeout:     15 * des.Millisecond,
+				SuppressBGN: true,
+				SkipREQ:     true,
+			}
+			cfg.Workload.Steps = 4
+			cfg.Workload.Think = 40 * des.Millisecond
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := testClusterConfig(dir, 7)
+			tc.adjust(&cfg)
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := c.Report()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Completed {
+				t.Fatal("workload did not complete")
+			}
+			if rep.GlobalCheckpoints < 2 {
+				t.Fatalf("global checkpoints = %d, want >= 2 (seqs %v)", rep.GlobalCheckpoints, rep.ConsistentSeqs)
+			}
+			if rep.AppMessages == 0 || rep.PiggybackBytes == 0 {
+				t.Fatalf("wire accounting empty: app=%d piggyback=%d", rep.AppMessages, rep.PiggybackBytes)
+			}
+			if rep.PiggybackBytesPerMsg <= 0 {
+				t.Fatalf("piggyback bytes/msg = %v", rep.PiggybackBytesPerMsg)
+			}
+			if rep.FramesSent == 0 || rep.FrameBytes == 0 {
+				t.Fatalf("mesh accounting empty: frames=%d bytes=%d", rep.FramesSent, rep.FrameBytes)
+			}
+			if c.Counter("wire.decode_errors") != 0 {
+				t.Fatalf("decode errors: %d", c.Counter("wire.decode_errors"))
+			}
+			if tc.wantCtl != "" && c.Counter(tc.wantCtl) == 0 {
+				t.Fatalf("%s = 0: expected control rounds on a %s run", tc.wantCtl, tc.name)
+			}
+			validateDisk(t, dir, cfg.N, 1)
+		})
+	}
+}
+
+// TestClusterRecoverAfterQuota: a rollback to a line taken after every
+// process met its quota restores an application that is already done.
+// The restore re-signals completion synchronously, inside the rollback,
+// and that signal must stick — WaitDone has to return after Recover.
+func TestClusterRecoverAfterQuota(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-time cluster test")
+	}
 	dir := t.TempDir()
-	c, err := NewCluster(testClusterConfig(dir, 7))
+	cfg := testClusterConfig(dir, 5)
+	cfg.Workload.Steps = 40
+	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(); err != nil {
+	defer c.Stop()
+	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.Report()
+	if err := c.WaitDone(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// A few rounds past completion: every member of the line recorded
+	// its finished quota.
+	l0, err := fsstore.LastCompleteSeq(dir, cfg.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Completed {
-		t.Fatal("workload did not complete")
+	want := max(l0, 0) + 3
+	waitFor(t, 20*time.Second, func() bool {
+		last, err := fsstore.LastCompleteSeq(dir, cfg.N)
+		return err == nil && last >= want
+	})
+	c.Kill(2)
+	line, err := c.Recover(2)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
 	}
-	if rep.GlobalCheckpoints < 2 {
-		t.Fatalf("global checkpoints = %d, want >= 2 (seqs %v)", rep.GlobalCheckpoints, rep.ConsistentSeqs)
+	if line < want {
+		t.Fatalf("recovery line %d, want >= %d", line, want)
 	}
-	if rep.AppMessages == 0 || rep.PiggybackBytes == 0 {
-		t.Fatalf("wire accounting empty: app=%d piggyback=%d", rep.AppMessages, rep.PiggybackBytes)
+	if err := c.WaitDone(5 * time.Second); err != nil {
+		t.Fatalf("after recovering to line %d: %v", line, err)
 	}
-	if rep.PiggybackBytesPerMsg <= 0 {
-		t.Fatalf("piggyback bytes/msg = %v", rep.PiggybackBytesPerMsg)
-	}
-	if rep.FramesSent == 0 || rep.FrameBytes == 0 {
-		t.Fatalf("mesh accounting empty: frames=%d bytes=%d", rep.FramesSent, rep.FrameBytes)
-	}
-	if c.Counter("wire.decode_errors") != 0 {
-		t.Fatalf("decode errors: %d", c.Counter("wire.decode_errors"))
-	}
-	validateDisk(t, dir, 4, 1)
 }
 
 // TestClusterKillRestart is the crash-recovery integration test: a
@@ -123,7 +198,9 @@ func TestClusterKillRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
 	defer c.Stop()
 
 	// Let the cluster commit at least two global checkpoints to disk.

@@ -1,8 +1,8 @@
 // Package transport is the real-network runtime: it hosts the same
-// protocol state machines as internal/engine (deterministic simulator)
-// and internal/live (goroutine runtime), but delivers envelopes over
-// actual TCP connections between processes, serialized with the
-// internal/wire codec and persisted with internal/fsstore.
+// protocol state machines as internal/engine (deterministic simulator),
+// but delivers envelopes over actual TCP connections between processes,
+// serialized with the internal/wire codec and persisted with
+// internal/fsstore.
 //
 // Three layers:
 //
@@ -10,9 +10,10 @@
 //   - mesh.go: the peer mesh — one listener plus N−1 dialed connections
 //     per process, per-peer writer goroutines, reconnect with jittered
 //     exponential backoff.
-//   - node.go / cluster.go: protocol.Env hosts on real time, either as a
-//     standalone daemon process (cmd/ocsmld) or as an in-process
-//     spawn-all cluster that talks to itself over localhost TCP.
+//   - node.go / cluster.go: protocol.Env hosts on real time, grouped in
+//     a Cluster that hosts either every process of a spawn-all run
+//     talking to itself over localhost TCP, or the one process of an
+//     ocsmld daemon.
 package transport
 
 import (

@@ -19,8 +19,8 @@ import (
 
 // NodeConfig parameterizes one process of the real-network runtime.
 type NodeConfig struct {
-	ID, N int
-	// Addrs maps process id to TCP address.
+	ID int
+	// Addrs maps process id to TCP address; N is len(Addrs).
 	Addrs []string
 	// Listener is this process's already-bound listener for Addrs[ID].
 	Listener net.Listener
@@ -29,27 +29,24 @@ type NodeConfig struct {
 	// Epoch is the node's starting epoch; envelopes from older epochs
 	// are dropped on delivery (stale pre-rollback traffic).
 	Epoch int
-	// Resume, when >= 0, restarts the protocol from an already-durable
-	// checkpoint with that sequence number (see core.Protocol.SetResume)
-	// and rewinds the application to ResumeRec's recorded progress.
-	Resume    int
+	// ResumeRec, when non-nil, restarts the node from that already-durable
+	// checkpoint (the protocol must have been told, see
+	// core.Protocol.SetResume): the node replays the record's message log
+	// and rewinds the application to its recorded progress.
 	ResumeRec *checkpoint.Record
 
 	// Proto and App are this process's protocol and application.
 	Proto protocol.Protocol
 	App   protocol.App
 
-	// Rec, Ckpts and Count may be shared across nodes (in-process
-	// cluster) or private (daemon). Count may be nil.
+	// Rec and Ckpts may be shared across the nodes of a cluster.
 	Rec   *trace.Recorder
 	Ckpts *checkpoint.Store
-	Count func(name string, delta int64)
 
 	// Metrics is the named-metric registry the node registers its wire
-	// and recovery series into (shared across the nodes of an in-process
-	// cluster, private to a daemon). A nil Metrics gets a fresh registry;
-	// when Count is also nil it defaults to the registry's event sink, so
-	// a standalone node still accumulates the free-form statistics.
+	// and recovery series into, and whose events family receives its
+	// free-form counters (shared across the nodes of a cluster). A nil
+	// Metrics gets a fresh registry.
 	Metrics *metrics.Registry
 
 	// FS, when non-nil, persists every finalized checkpoint to disk at
@@ -59,12 +56,6 @@ type NodeConfig struct {
 	// Hook, when non-nil, filters every outgoing frame (fault injection;
 	// see internal/faultnet).
 	Hook SendHook
-
-	// WireVersion pins the wire format this node speaks: it encodes
-	// frames at that version and rejects inbound frames above it. Zero
-	// means wire.VersionLatest; 1 runs the node as a pure-v1 process in
-	// a mixed-version cluster.
-	WireVersion int
 
 	// WriteBandwidth models the stable-storage service rate in bytes
 	// per second (the real fsync cost of FS comes on top). Default: no
@@ -77,23 +68,19 @@ type NodeConfig struct {
 	// monotonic across the crash.
 	Base time.Time
 
-	// OnDone fires (once) when the application completes its quota.
+	// OnDone fires when the application completes its quota (again
+	// after a rollback rewound it below the quota and it completed anew).
 	OnDone func(id int)
-
-	// OnRollback fires after a wire-committed rollback (RB_CMT) rewound
-	// this node to the given line — the in-process cluster's bookkeeping
-	// hook (a standalone daemon needs none).
-	OnRollback func(id, line int)
 }
 
 // Node hosts one process's protocol + application on real time, with
 // envelope delivery over the TCP mesh. All protocol and application
-// callbacks are serialized on the node's loop goroutine, exactly like
-// the live runtime.
+// callbacks are serialized on the node's loop goroutine.
 type Node struct {
-	cfg  NodeConfig
-	mesh *Mesh
-	rng  *rand.Rand
+	cfg   NodeConfig
+	count func(name string, delta int64)
+	mesh  *Mesh
+	rng   *rand.Rand
 	// enc serializes outgoing envelopes into pooled frames; all Sends
 	// run on the loop goroutine, so its scratch state is single-owner.
 	enc wire.Encoder //ocsml:loopowned loop
@@ -109,15 +96,18 @@ type Node struct {
 	idCtr   atomic.Int64
 	started atomic.Bool
 	closed  atomic.Bool
+	// done is the application's completion flag: set by AppCtx.Done,
+	// cleared when a rollback rewinds the application (before it
+	// restores, so a restore that re-completes the quota re-sets it).
+	done atomic.Bool
 
 	// Single-goroutine state, proven by the loopowned analyzer: every
 	// access runs on the named goroutine or in a closure posted to it.
-	epoch   int    //ocsml:loopowned loop
-	fold    uint64 //ocsml:loopowned loop
-	work    int64  //ocsml:loopowned loop
-	appSeq  int64  //ocsml:loopowned loop
-	appDone bool   //ocsml:loopowned loop
-	stall   int    //ocsml:loopowned loop
+	epoch  int    //ocsml:loopowned loop
+	fold   uint64 //ocsml:loopowned loop
+	work   int64  //ocsml:loopowned loop
+	appSeq int64  //ocsml:loopowned loop
+	stall  int    //ocsml:loopowned loop
 	// deferred holds loop-posted work parked while the app is stalled;
 	// the stored closures replay on the loop.
 	//ocsml:loopowned loop
@@ -148,8 +138,8 @@ type storeReq struct {
 
 // NewNode builds a node (not yet started).
 func NewNode(cfg NodeConfig) (*Node, error) {
-	if cfg.N != len(cfg.Addrs) || cfg.ID < 0 || cfg.ID >= cfg.N {
-		return nil, fmt.Errorf("transport: invalid node id %d of %d (addrs %d)", cfg.ID, cfg.N, len(cfg.Addrs))
+	if cfg.ID < 0 || cfg.ID >= len(cfg.Addrs) {
+		return nil, fmt.Errorf("transport: invalid node id %d of %d", cfg.ID, len(cfg.Addrs))
 	}
 	if cfg.Proto == nil || cfg.App == nil || cfg.Rec == nil || cfg.Ckpts == nil {
 		return nil, fmt.Errorf("transport: node needs proto, app, recorder and store")
@@ -157,21 +147,23 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	if cfg.Count == nil {
-		cfg.Count = cfg.Metrics.EventSink()
-	}
 	if cfg.Base.IsZero() {
 		cfg.Base = time.Now() //ocsml:wallclock standalone node anchors its own time origin
 	}
+	resume := -1
+	if cfg.ResumeRec != nil {
+		resume = cfg.ResumeRec.Seq
+	}
 	n := &Node{
 		cfg:       cfg,
+		count:     cfg.Metrics.EventSink(),
 		rng:       rand.New(rand.NewSource(cfg.Seed + int64(cfg.ID)*7919)),
 		inbox:     make(chan func(), 4096),
 		quit:      make(chan struct{}),
 		storageCh: make(chan storeReq, 1024),
 		epoch:     cfg.Epoch,
-		persisted: cfg.Resume,
-		recLine:   cfg.Resume,
+		persisted: resume,
+		recLine:   resume,
 	}
 	// Envelope IDs must be unique across OS processes AND across the
 	// incarnations of one process: a restarted node's counter starts at
@@ -179,17 +171,16 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	// would alias a pre-crash one and confuse trace pairing and dedup.
 	// Bits 40+: node, 32-39: starting epoch, 0-31: counter.
 	n.idBase = (int64(cfg.ID)+1)<<40 | int64(cfg.Epoch&0xff)<<32
-	n.enc.Version = cfg.WireVersion //ocsml:loopexempt constructor runs before Start spawns the loop
 	mesh, err := NewMesh(MeshConfig{
 		ID: cfg.ID, Addrs: cfg.Addrs, Seed: cfg.Seed, Hook: cfg.Hook,
-		Count: cfg.Count,
+		Count: n.count,
 	}, cfg.Listener, n.acceptConn)
 	if err != nil {
 		return nil, err
 	}
 	n.mesh = mesh
 	n.registerMetrics()
-	if cfg.Resume >= 0 && cfg.ResumeRec != nil {
+	if cfg.ResumeRec != nil {
 		// Genuine log replay, not a shortcut to the recorded result: fold
 		// the durable message log over the restored tentative state and
 		// verify it reproduces the fold recorded at finalization.
@@ -249,8 +240,7 @@ func (n *Node) Start() {
 	// Protocol start is queued before the mesh begins accepting, so no
 	// delivery can reach OnDeliver ahead of Start.
 	n.post(func() { n.cfg.Proto.Start(n) })
-	if n.cfg.Resume >= 0 {
-		rec := n.cfg.ResumeRec
+	if rec := n.cfg.ResumeRec; rec != nil {
 		n.post(func() {
 			ra, ok := n.cfg.App.(protocol.RewindableApp)
 			if !ok {
@@ -282,6 +272,10 @@ func (n *Node) StaleDropped() int64 { return n.staleDropped.Load() }
 
 // DecodeErrors counts frames the wire codec rejected.
 func (n *Node) DecodeErrors() int64 { return n.decodeErrors.Load() }
+
+// Completed reports whether the application has completed its quota
+// (and no rollback has since rewound it below the quota).
+func (n *Node) Completed() bool { return n.done.Load() }
 
 // Post schedules fn on the node's serialized loop (cluster rollback
 // uses it to mutate protocol state safely).
@@ -328,7 +322,7 @@ func (n *Node) post(fn func()) {
 // connection's frame stream, and a reconnect gets a fresh decoder just
 // as the sender's PeerEncoder resets its delta base.
 func (n *Node) acceptConn(src int) func(frame []byte) {
-	dec := wire.NewDecoder(n.cfg.WireVersion)
+	dec := wire.NewDecoder(0)
 	return func(frame []byte) { n.onFrame(dec, frame) }
 }
 
@@ -339,7 +333,7 @@ func (n *Node) onFrame(dec *wire.Decoder, frame []byte) {
 	e, err := dec.DecodeOwned(frame)
 	if err != nil {
 		n.decodeErrors.Add(1)
-		n.cfg.Count("wire.decode_errors", 1)
+		n.count("wire.decode_errors", 1)
 		return
 	}
 	n.post(func() {
@@ -357,7 +351,7 @@ func (n *Node) onFrame(dec *wire.Decoder, frame []byte) {
 		}
 		if e.Epoch < n.epoch {
 			n.staleDropped.Add(1)
-			n.cfg.Count("wire.stale_dropped", 1)
+			n.count("wire.stale_dropped", 1)
 			return
 		}
 		if e.Kind == protocol.KindCtl {
@@ -443,10 +437,10 @@ func (n *Node) persistFinalized() {
 	// retries from it.
 	if committed > 0 {
 		n.persisted = batch[committed-1].Seq
-		n.cfg.Count("fsstore.finalized", int64(committed))
+		n.count("fsstore.finalized", int64(committed))
 	}
 	if err != nil {
-		n.cfg.Count("fsstore.errors", 1)
+		n.count("fsstore.errors", 1)
 	}
 }
 
@@ -458,7 +452,7 @@ var _ protocol.Env = (*Node)(nil)
 func (n *Node) ID() int { return n.cfg.ID }
 
 // N implements protocol.Env.
-func (n *Node) N() int { return n.cfg.N }
+func (n *Node) N() int { return len(n.cfg.Addrs) }
 
 // Now implements protocol.Env: real time since the shared base.
 //
@@ -482,7 +476,7 @@ func (n *Node) Send(e *protocol.Envelope) {
 	e.Epoch = n.epoch
 	e.SentAt = n.Now()
 	if e.Kind == protocol.KindCtl {
-		n.cfg.Count("ctl."+e.CtlTag, 1)
+		n.count("ctl."+e.CtlTag, 1)
 		n.cfg.Rec.Record(trace.Event{
 			T: e.SentAt, Kind: trace.KCtlSend, Proc: n.cfg.ID, Peer: e.Dst,
 			MsgID: e.ID, Seq: -1, Tag: e.CtlTag,
@@ -494,7 +488,7 @@ func (n *Node) Send(e *protocol.Envelope) {
 		panic(fmt.Sprintf("transport: P%d cannot encode envelope: %v", n.cfg.ID, err))
 	}
 	if e.Kind == protocol.KindApp {
-		n.cfg.Count("wire.app_frames", 1)
+		n.count("wire.app_frames", 1)
 		n.mAppFrames.Inc()
 	}
 	// Piggyback bytes are accounted by the mesh at write time, where the
@@ -504,7 +498,7 @@ func (n *Node) Send(e *protocol.Envelope) {
 
 // Broadcast implements protocol.Env.
 func (n *Node) Broadcast(e *protocol.Envelope) {
-	for dst := 0; dst < n.cfg.N; dst++ {
+	for dst := 0; dst < n.N(); dst++ {
 		if dst == n.cfg.ID {
 			continue
 		}
@@ -647,7 +641,7 @@ func (n *Node) Note(kind trace.Kind, seq int) {
 }
 
 // Count implements protocol.Env.
-func (n *Node) Count(name string, delta int64) { n.cfg.Count(name, delta) }
+func (n *Node) Count(name string, delta int64) { n.count(name, delta) }
 
 // Metrics implements protocol.Env.
 func (n *Node) Metrics() *metrics.Registry { return n.cfg.Metrics }
@@ -666,7 +660,7 @@ type nodeAppCtx struct{ *Node }
 //ocsml:loopcontext loop
 func (a nodeAppCtx) Send(dst int, m protocol.AppMsg) {
 	n := a.Node
-	if dst == n.cfg.ID || dst < 0 || dst >= n.cfg.N {
+	if dst == n.cfg.ID || dst < 0 || dst >= n.N() {
 		panic(fmt.Sprintf("transport: P%d sending to invalid destination %d", n.cfg.ID, dst))
 	}
 	n.appSeq++
@@ -683,7 +677,7 @@ func (a nodeAppCtx) Send(dst int, m protocol.AppMsg) {
 	n.cfg.Rec.Record(trace.Event{
 		T: n.Now(), Kind: trace.KSend, Proc: n.cfg.ID, Peer: dst, MsgID: e.ID, Seq: -1,
 	})
-	n.cfg.Count("app_msgs", 1)
+	n.count("app_msgs", 1)
 	n.cfg.Proto.OnAppSend(e)
 	n.Send(e)
 }
@@ -719,10 +713,9 @@ func (a nodeAppCtx) DoWork(units int64) { a.Node.work += units }
 //ocsml:loopcontext loop
 func (a nodeAppCtx) Done() {
 	n := a.Node
-	if n.appDone {
+	if n.done.Swap(true) {
 		return
 	}
-	n.appDone = true
 	if n.cfg.OnDone != nil {
 		n.cfg.OnDone(n.cfg.ID)
 	}

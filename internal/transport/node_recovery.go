@@ -16,7 +16,7 @@ import (
 func (n *Node) handleRecovery(e *protocol.Envelope) {
 	rb, ok := e.Payload.(protocol.RbMsg)
 	if !ok {
-		n.cfg.Count("recovery.bad_frames", 1)
+		n.count("recovery.bad_frames", 1)
 		return
 	}
 	switch e.CtlTag {
@@ -39,7 +39,7 @@ func (n *Node) handleRecovery(e *protocol.Envelope) {
 	default:
 		// RB_LINE/RB_ACK are coordinator-bound; a running node sees them
 		// only as leftovers of a round it did not coordinate.
-		n.cfg.Count("recovery.stray_frames", 1)
+		n.count("recovery.stray_frames", 1)
 	}
 }
 
@@ -75,7 +75,7 @@ func (n *Node) rollbackTo(line, epoch int, onDurable func()) {
 		// A line this process never finalized cannot be restored; leave
 		// the commit unacknowledged so the coordinator's timeout surfaces
 		// the inconsistency instead of silently diverging.
-		n.cfg.Count("recovery.line_missing", 1)
+		n.count("recovery.line_missing", 1)
 		return
 	}
 	n.epoch = epoch
@@ -86,7 +86,7 @@ func (n *Node) rollbackTo(line, epoch int, onDurable func()) {
 		// written back post-truncate.
 		n.postStorage(func() {
 			if err := fs.TruncateAfter(line); err != nil {
-				n.cfg.Count("fsstore.errors", 1)
+				n.count("fsstore.errors", 1)
 				return // no ACK: the truncation must land before we commit
 			}
 			n.persisted = line
@@ -105,11 +105,8 @@ func (n *Node) rollbackTo(line, epoch int, onDurable func()) {
 	n.restoreApp(rec)
 	n.recLine = line
 	n.cfg.Rec.Record(trace.Event{T: n.Now(), Kind: trace.KRestore, Proc: n.cfg.ID, Peer: -1, Seq: line})
-	n.cfg.Count("recovery.rollbacks", 1)
+	n.count("recovery.rollbacks", 1)
 	n.mRollbacks.Inc()
-	if n.cfg.OnRollback != nil {
-		n.cfg.OnRollback(n.cfg.ID, line)
-	}
 }
 
 // recordAt fetches the checkpoint record at the recovery line, preferring
@@ -140,10 +137,10 @@ func (n *Node) replayFold(rec *checkpoint.Record) uint64 {
 		// The log does not reproduce the recorded state; resume from the
 		// recorded fold (a state the process provably held) and flag the
 		// divergence rather than inventing a new history.
-		n.cfg.Count("recovery.replay_mismatch", 1)
+		n.count("recovery.replay_mismatch", 1)
 		return rec.CFEFold
 	}
-	n.cfg.Count("recovery.replayed_msgs", int64(len(rec.Log)))
+	n.count("recovery.replayed_msgs", int64(len(rec.Log)))
 	n.mReplayed.Add(int64(len(rec.Log)))
 	return fold
 }
@@ -155,7 +152,7 @@ func (n *Node) restoreApp(rec checkpoint.Record) {
 	n.work = rec.CFEWork
 	n.stall = 0
 	n.deferred = nil
-	n.appDone = false
+	n.done.Store(false)
 	ra, ok := n.cfg.App.(protocol.RewindableApp)
 	if !ok {
 		panic(fmt.Sprintf("transport: application on P%d cannot roll back", n.cfg.ID))

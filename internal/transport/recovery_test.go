@@ -251,7 +251,7 @@ func TestWriteStableShutdownAccounting(t *testing.T) {
 	lns, addrs := listenLocal(t, 2)
 	lns[1].Close() // peer never exists; irrelevant here
 	n, err := NewNode(NodeConfig{
-		ID: 0, N: 2, Addrs: addrs, Listener: lns[0], Seed: 1, Resume: -1,
+		ID: 0, Addrs: addrs, Listener: lns[0], Seed: 1,
 		Proto: nopProto{}, App: nopApp{},
 		Rec: trace.NewRecorder(), Ckpts: checkpoint.NewStore(2),
 		// 1 B/s: any write parks in the service delay, so Close lands

@@ -144,13 +144,13 @@ func TestDeltaIsChangedBitsNotUniverse(t *testing.T) {
 	}
 }
 
-// TestV1EncoderMatchesPackageEncode: an Encoder negotiated down to v1
-// must emit byte-identical frames to the stateless package Encode, and
-// the PeerEncoder must pass them through verbatim (never delta-rewritten)
-// while still accounting their piggyback bytes.
-func TestV1EncoderMatchesPackageEncode(t *testing.T) {
-	enc := Encoder{Version: Version}
-	var pe PeerEncoder
+// TestEncodeFrameMatchesPackageEncode: an Encoder's v2 frame differs
+// from the stateless package Encode's v1 bytes only in its version byte
+// (v2 keeps the v1 header and payload encodings), and the first frame
+// a PeerEncoder writes — no delta base yet — passes through verbatim
+// while its piggyback bytes are still accounted.
+func TestEncodeFrameMatchesPackageEncode(t *testing.T) {
+	var enc Encoder
 	f := AcquireFrame()
 	defer f.Release()
 	for i, e := range sampleEnvelopes() {
@@ -158,15 +158,17 @@ func TestV1EncoderMatchesPackageEncode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want[0] = Version2
 		if err := enc.EncodeFrame(f, e); err != nil {
 			t.Fatalf("envelope %d: EncodeFrame: %v", i, err)
 		}
 		if !bytes.Equal(f.Bytes(), want) {
-			t.Fatalf("envelope %d: v1 EncodeFrame differs from Encode:\n got %x\nwant %x", i, f.Bytes(), want)
+			t.Fatalf("envelope %d: EncodeFrame differs from Encode beyond the version byte:\n got %x\nwant %x", i, f.Bytes(), want)
 		}
+		var pe PeerEncoder
 		out, pbLen := pe.AppendFrame(nil, f)
 		if !bytes.Equal(out, want) {
-			t.Fatalf("envelope %d: v1 AppendFrame rewrote the frame", i)
+			t.Fatalf("envelope %d: AppendFrame without a delta base rewrote the frame", i)
 		}
 		if _, ok := e.Payload.(core.Piggyback); ok {
 			p, err := PayloadSize(e)

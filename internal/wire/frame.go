@@ -19,7 +19,6 @@ import (
 type Frame struct {
 	data []byte
 
-	ver    byte
 	hasPB  bool
 	pbOff  int // offset of the piggyback payload block in data
 	epoch  int
@@ -65,7 +64,6 @@ func (f *Frame) Release() {
 		return
 	}
 	f.data = f.data[:0]
-	f.ver = 0
 	f.hasPB = false
 	f.pbOff = 0
 	f.epoch = 0
